@@ -231,7 +231,6 @@ _CONFIG_KEYS = {
     "knots",
     "gamma_upper",
     "gamma_step",
-    "coverage_pad",
     "fd_step",
     "penalty_init",
     "penalty_growth",
@@ -239,8 +238,6 @@ _CONFIG_KEYS = {
     "max_iter",
     "obj_tol",
     "constraint_tol",
-    "order_x",
-    "order_w",
 }
 
 

@@ -289,45 +289,82 @@ def _w_rule(m: int, order: int):
 
 @lru_cache(maxsize=512)
 def _x_rule_cached(knots: tuple, order: int):
+    """Quadrature on the reflected knot panels of [-d, d] and the spline basis there.
+
+    Returns nodes x, weights, and the matrix whose column j is the natural
+    cubic spline with value 1 at knot j and 0 at the others, evaluated at
+    |x|; a spline with knot values v takes the values basis @ v at |x|.
+    """
     k = np.asarray(knots)
     edges = np.concatenate((-k[::-1], k[1:]))
-    return _panel_rule(edges, order)
+    x, wts = _panel_rule(edges, order)
+    basis = CubicSpline(k, np.eye(k.size), bc_type="natural")(np.abs(x))
+    return x, wts, basis
+
+
+@lru_cache(maxsize=128)
+def _spline_integral_weights(knots: tuple) -> np.ndarray:
+    """Weights u with int_0^d s(x) dx = u @ v for the natural spline with knot values v."""
+    k = np.asarray(knots)
+    return CubicSpline(k, np.eye(k.size), bc_type="natural").integrate(0.0, k[-1])
+
+
+class _RiskKernel:
+    """Coverage and SEL correction integrals at fixed orders for given knot values.
+
+    For fixed knots, (m, rho, alpha) and gammas, the Gaussian factor
+    phi(w x - gamma), the quadrature weights, the standard-pair coverage
+    baseline and the spline basis at the x nodes do not depend on the
+    knot values, so each call costs two normal-CDF array evaluations and
+    weighted sums.  The s values enter as s - t(m), so the standard pair
+    gives exactly zero corrections.
+    """
+
+    def __init__(self, knots, m: int, rho: float, alpha: float, gammas: np.ndarray,
+                 order_x: int, order_w: int):
+        xg, xw, basis = _x_rule_cached(tuple(knots), order_x)
+        wg, ww = _w_rule(m, order_w)
+        self.crit = _t_crit_cached(alpha, m)
+        root = math.sqrt(1.0 - rho * rho)
+        self.basis_b = np.sign(xg)[:, None] * basis
+        self.basis_s = basis
+        self.w_over_root = wg[:, None] / root
+        # the (gamma, w, x) arrays dominate memory: build them in place
+        z = wg[None, :, None] * xg[None, None, :] - np.asarray(gammas)[:, None, None]
+        self.zr = (rho / root) * z
+        phi = np.exp(np.multiply(z, -0.5 * z, out=z), out=z)
+        phi *= 1.0 / math.sqrt(2.0 * math.pi)
+        self.sel_w = ((ww * wg) @ phi) * xw
+        phi *= ww[:, None]
+        phi *= xw
+        self.phiw = phi
+        self.base_cov = self._hit_mass(0.0, self.crit)
+
+    def _hit_mass(self, bs, ss) -> np.ndarray:
+        """phi-weighted integral of the hit probability of J for b, s at the x nodes."""
+        hi = np.subtract(self.w_over_root * (bs + ss), self.zr)
+        lo = np.subtract(self.w_over_root * (bs - ss), self.zr)
+        psi = special.ndtr(hi, out=hi)
+        psi -= special.ndtr(lo, out=lo)
+        return np.einsum("gij,gij->g", self.phiw, psi)
+
+    def __call__(self, b_values, s_values):
+        """(coverage correction, SEL correction) for every gamma."""
+        ds = self.basis_s @ (np.asarray(s_values, dtype=float) - self.crit)
+        cov = self._hit_mass(self.basis_b @ np.asarray(b_values, dtype=float), self.crit + ds)
+        return cov - self.base_cov, self.sel_w @ ds
 
 
 def _correction_terms(sp: SplinePair, gammas: np.ndarray, order_x: int, order_w: int):
     """Coverage and SEL correction integrals for every gamma at fixed orders."""
-    xg, xw = _x_rule_cached(sp.knots, order_x)
-    wg, ww = _w_rule(sp.m, order_w)
-    bs = eval_b(sp, xg)
-    ss = eval_s(sp, xg)
-    crit = sp.t_crit
-    rho = sp.rho
-    root = math.sqrt(1.0 - rho * rho)
-    inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
-
-    wx = wg[:, None] * xg[None, :]
-    p_hi = wg[:, None] * (bs + ss)[None, :]
-    p_lo = wg[:, None] * (bs - ss)[None, :]
-    q_hi = wg[:, None] * np.full_like(xg, crit)[None, :]
-    q_lo = -q_hi
-    sel_base = xw * (ss - crit)
-    ww_len = ww * wg
-
+    cells = _x_rule_cached(sp.knots, order_x)[0].size * _w_rule(sp.m, order_w)[0].size
+    chunk = max(1, int(4e6 // cells))
     cov = np.empty(gammas.shape)
     sel = np.empty(gammas.shape)
-    chunk = max(1, int(4e6 // wx.size))
     for start in range(0, gammas.size, chunk):
-        g = gammas[start : start + chunk][:, None, None]
-        z = wx[None, :, :] - g
-        phi = inv_sqrt2pi * np.exp(-0.5 * z * z)
-        psi = special.ndtr((p_hi[None, :, :] - rho * z) / root) - special.ndtr(
-            (p_lo[None, :, :] - rho * z) / root
-        )
-        psi0 = special.ndtr((q_hi[None, :, :] - rho * z) / root) - special.ndtr(
-            (q_lo[None, :, :] - rho * z) / root
-        )
-        cov[start : start + chunk] = np.einsum("i,gij,j->g", ww, phi * (psi - psi0), xw)
-        sel[start : start + chunk] = np.einsum("i,gij,j->g", ww_len, phi, sel_base)
+        part = slice(start, start + chunk)
+        kernel = _RiskKernel(sp.knots, sp.m, sp.rho, sp.alpha, gammas[part], order_x, order_w)
+        cov[part], sel[part] = kernel(sp.b_values, sp.s_values)
     return cov, sel
 
 

@@ -11,6 +11,12 @@ one and leaves E[W^2] = 1, giving
 2 * int_0^d (s(x) - t(m)) dx / (t(m) E[W]), evaluated exactly from the
 spline.
 
+Coverage on the constraint grid and e(0) come from kg_core's risk
+kernel at fixed quadrature orders (_ORDER_X, _ORDER_W), the same
+integrand the adaptive quadrature refines; the kernel is built once per
+design, so an evaluation only maps the knot values through the fixed
+spline basis.
+
 The constraint is enforced by a sequential quadratic penalty on the
 coverage shortfall over a finite gamma grid (inner solver L-BFGS-B with
 central finite-difference gradients).  The penalty target is exactly
@@ -30,8 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
 from interval_lab.kg_core import (
@@ -41,12 +45,16 @@ from interval_lab.kg_core import (
     expected_w,
     scaled_expected_length,
     _max_workers,
-    _w_rule,
-    _x_rule_cached,
+    _RiskKernel,
+    _spline_integral_weights,
 )
 from interval_lab.special_fn import t_two_sided
 
 __all__ = ["DesignConfig", "design", "objective"]
+
+# fixed quadrature orders of the design's coverage and e(0) evaluations
+_ORDER_X = 8
+_ORDER_W = 10
 
 
 def _default_grid() -> GammaGrid:
@@ -64,7 +72,6 @@ class DesignConfig:
     d: float = 12.0
     knots: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     gamma_constraint_grid: GammaGrid = field(default_factory=_default_grid)
-    coverage_pad: float = 0.0
     fd_step: float = 1e-4
     penalty_init: float = 1e4
     penalty_growth: float = math.sqrt(10.0)
@@ -72,8 +79,6 @@ class DesignConfig:
     max_iter: int = 150
     obj_tol: float = 1e-7
     constraint_tol: float = 1e-6
-    order_x: int = 8
-    order_w: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", int(self.m))
@@ -91,8 +96,6 @@ class DesignConfig:
             raise ValueError("knots must be at least three strictly ascending values")
         if k[0] != 0.0 or k[-1] != float(self.d):
             raise ValueError("knots must start at 0 and end at d")
-        if self.coverage_pad < 0.0:
-            raise ValueError(f"coverage_pad must be nonnegative, got {self.coverage_pad!r}")
         self.gamma_constraint_grid.require_span(float(self.d) + 8.0)
 
     @property
@@ -100,9 +103,10 @@ class DesignConfig:
         return t_two_sided(self.alpha, self.m)
 
 
-def _sel_integral(spline_s: CubicSpline, d: float, crit: float, e_w: float) -> float:
+def _sel_integral(knots: tuple, s_values, crit: float, e_w: float) -> float:
     """Exact value of int over the real line of (e(gamma) - 1) dgamma."""
-    return 2.0 * (float(spline_s.integrate(0.0, d)) - crit * d) / (crit * e_w)
+    excess = _spline_integral_weights(knots) @ (np.asarray(s_values) - crit)
+    return 2.0 * float(excess) / (crit * e_w)
 
 
 def objective(sp: SplinePair, cfg: DesignConfig) -> float:
@@ -116,17 +120,16 @@ def objective(sp: SplinePair, cfg: DesignConfig) -> float:
     ):
         raise ValueError("spline pair is inconsistent with the design configuration")
     e0 = scaled_expected_length(0.0, sp, tol=1e-9)
-    integral = _sel_integral(sp._spline_s, sp.d, sp.t_crit, expected_w(cfg.m))
+    integral = _sel_integral(sp.knots, sp.s_values, sp.t_crit, expected_w(cfg.m))
     return cfg.xi_tilde * (e0 - 1.0) + (1.0 - cfg.xi_tilde) * integral
 
 
 class _PenaltyModel:
-    """Fixed-order quadrature evaluator with the variable-independent parts cached.
+    """Objective, penalty and grid coverage of the decision vector.
 
-    For a fixed cfg, the Gaussian factor phi(w x - gamma), the quadrature
-    weights, and the standard-pair coverage baseline do not depend on the
-    decision variables, so each evaluation costs only two normal-CDF array
-    calls and a weighted sum.
+    The vector holds b at the interior knots, then s at every knot but d.
+    One risk kernel over the constraint grid serves every evaluation; the
+    grid starts at gamma = 0, so its first SEL term is e(0) - 1.
     """
 
     def __init__(self, cfg: DesignConfig):
@@ -134,52 +137,18 @@ class _PenaltyModel:
         self.crit = cfg.t_crit
         self.knots = np.asarray(cfg.knots)
         self.n_b = self.knots.size - 2
-        self.target = 1.0 - cfg.alpha + cfg.coverage_pad
         self.e_w = expected_w(cfg.m)
-        root = math.sqrt(1.0 - cfg.rho * cfg.rho)
-        self.w_over_root = None
-
-        xg, xw = _x_rule_cached(cfg.knots, cfg.order_x)
-        wg, ww = _w_rule(cfg.m, cfg.order_w)
-        gammas = cfg.gamma_constraint_grid.as_array()
-        z = wg[None, :, None] * xg[None, None, :] - gammas[:, None, None]
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        self.phiw = ww[None, :, None] * phi * xw[None, None, :]
-        self.zr = (cfg.rho / root) * z
-        q = (self.crit / root) * wg[None, :, None]
-        base = special.ndtr(q - self.zr) - special.ndtr(-q - self.zr)
-        self.base_cov = np.einsum("gij,gij->g", self.phiw, base)
-        self.sel_w = ((ww * wg) @ phi[0]) * xw
-        self.abs_xg = np.abs(xg)
-        self.sgn_xg = np.sign(xg)
-        self.w_over_root = wg[:, None] / root
-
-    def splines(self, v: np.ndarray):
-        b_full = np.concatenate(([0.0], v[: self.n_b], [0.0]))
-        s_full = np.concatenate((v[self.n_b :], [self.crit]))
-        return (
-            CubicSpline(self.knots, b_full, bc_type="natural"),
-            CubicSpline(self.knots, s_full, bc_type="natural"),
-        )
+        self.kernel = _RiskKernel(cfg.knots, cfg.m, cfg.rho, cfg.alpha,
+                                  cfg.gamma_constraint_grid.as_array(), _ORDER_X, _ORDER_W)
 
     def terms(self, v: np.ndarray):
-        spline_b, spline_s = self.splines(v)
-        bs = self.sgn_xg * spline_b(self.abs_xg)
-        ss = spline_s(self.abs_xg)
-        p_hi = self.w_over_root * (bs + ss)[None, :]
-        p_lo = self.w_over_root * (bs - ss)[None, :]
-        psi = special.ndtr(p_hi[None, :, :] - self.zr) - special.ndtr(
-            p_lo[None, :, :] - self.zr
-        )
-        cov = (
-            (1.0 - self.cfg.alpha)
-            + np.einsum("gij,gij->g", self.phiw, psi)
-            - self.base_cov
-        )
-        e0 = 1.0 + float(self.sel_w @ (ss - self.crit)) / (self.crit * self.e_w)
-        integral = _sel_integral(spline_s, self.cfg.d, self.crit, self.e_w)
+        s_full = np.concatenate((v[self.n_b :], [self.crit]))
+        cov, sel = self.kernel(np.concatenate(([0.0], v[: self.n_b], [0.0])), s_full)
+        cov += 1.0 - self.cfg.alpha
+        e0 = 1.0 + float(sel[0]) / (self.crit * self.e_w)
+        integral = _sel_integral(self.cfg.knots, s_full, self.crit, self.e_w)
         obj = self.cfg.xi_tilde * (e0 - 1.0) + (1.0 - self.cfg.xi_tilde) * integral
-        shortfall = np.clip(self.target - cov, 0.0, None)
+        shortfall = np.clip((1.0 - self.cfg.alpha) - cov, 0.0, None)
         return obj, float(shortfall @ shortfall), cov
 
     def penalized(self, v: np.ndarray, mu: float) -> float:

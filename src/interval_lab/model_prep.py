@@ -131,26 +131,18 @@ class SufficientStats:
         return self.tau_hat / self.sigma_hat
 
 
-def _gram_inverse(X: np.ndarray) -> np.ndarray:
-    """(X'X)^{-1} through the QR factorization of X."""
+def _factor(X: np.ndarray):
+    """Reduced QR factorization of X and (X'X)^{-1} computed from it."""
     n, p = X.shape
     q, rmat = np.linalg.qr(X, mode="reduced")
     diag = np.abs(np.diag(rmat))
     if diag.min() <= np.finfo(float).eps * max(X.shape) * diag.max():
         raise IllConditionedDesignError("design matrix is numerically singular")
     rinv = np.linalg.solve(rmat, np.eye(p))
-    return rinv @ rinv.T
+    return q, rmat, rinv @ rinv.T
 
 
-def scale_problem(prob: RegressionProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rescale (a_star, c_star, t_star) so both estimators have variance sigma^2.
-
-    Returns (a, c, t) with a = a_star / sqrt(v11), c = c_star / sqrt(v22)
-    and t = t_star / sqrt(v22), where v11 = a_star' (X'X)^{-1} a_star and
-    v22 = c_star' (X'X)^{-1} c_star.  After scaling,
-    a' (X'X)^{-1} a = c' (X'X)^{-1} c = 1.
-    """
-    g = _gram_inverse(prob.X)
+def _scale(prob: RegressionProblem, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     v11 = float(prob.a_star @ g @ prob.a_star)
     v22 = float(prob.c_star @ g @ prob.c_star)
     if v11 <= 0.0 or v22 <= 0.0:
@@ -161,15 +153,27 @@ def scale_problem(prob: RegressionProblem) -> tuple[np.ndarray, np.ndarray, floa
     return a, c, t
 
 
+def scale_problem(prob: RegressionProblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rescale (a_star, c_star, t_star) so both estimators have variance sigma^2.
+
+    Returns (a, c, t) with a = a_star / sqrt(v11), c = c_star / sqrt(v22)
+    and t = t_star / sqrt(v22), where v11 = a_star' (X'X)^{-1} a_star and
+    v22 = c_star' (X'X)^{-1} c_star.  After scaling,
+    a' (X'X)^{-1} a = c' (X'X)^{-1} c = 1.
+    """
+    return _scale(prob, _factor(prob.X)[2])
+
+
 def reduce_problem(prob: RegressionProblem) -> SufficientStats:
     """Least-squares reduction of a problem to its sufficient statistics.
 
     beta_hat is computed through the QR factorization; sigma_hat^2 is
     RSS / (n - p); theta_hat = a' beta_hat and tau_hat = c' beta_hat - t
     use the scaled vectors from scale_problem; rho = a' (X'X)^{-1} c.
+    One factorization of X serves all of these.
     """
-    a, c, t = scale_problem(prob)
-    q, rmat = np.linalg.qr(prob.X, mode="reduced")
+    q, rmat, g = _factor(prob.X)
+    a, c, t = _scale(prob, g)
     beta_hat = np.linalg.solve(rmat, q.T @ prob.y)
     resid = prob.y - prob.X @ beta_hat
     rss = float(resid @ resid)
@@ -179,7 +183,6 @@ def reduce_problem(prob: RegressionProblem) -> SufficientStats:
     if rss <= np.finfo(float).eps * n * max(1.0, yty):
         raise ZeroResidualError("response lies in the column span of X; sigma_hat = 0")
     sigma_hat = np.sqrt(rss / m)
-    g = _gram_inverse(prob.X)
     rho = float(a @ g @ c)
     if abs(rho) >= 1.0 - 1e-10:
         raise IllConditionedDesignError(

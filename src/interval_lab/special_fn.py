@@ -82,11 +82,6 @@ def t_cdf(x, q: float):
 def t_quantile(p: float, q: float) -> float:
     """Inverse CDF of the t distribution with q degrees of freedom.
 
-    Safeguarded Newton iteration on t_cdf with a bisection fallback;
-    the iterate is always confined to a bracket that is updated from
-    the sign of the residual, so convergence is guaranteed and the
-    final accuracy is limited only by t_cdf itself.
-
     Parameters
     ----------
     p : float
@@ -97,47 +92,17 @@ def t_quantile(p: float, q: float) -> float:
     Returns
     -------
     float
-        The point x with t_cdf(x, q) = p.
+        The point x with t_cdf(x, q) = p (scipy.special.stdtrit).  Lower
+        quantiles are reflected from the upper ones, so
+        t_quantile(p, q) == -t_quantile(1 - p, q) exactly.
     """
     q = _check_dof(q)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
     if p < 0.5:
-        return -t_quantile(1.0 - p, q)
-
-    # bracket [lo, hi] with t_cdf(lo) < p <= t_cdf(hi)
-    lo = 0.0
-    hi = max(1.0, float(special.ndtri(p)))
-    while t_cdf(hi, q) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - unreachable for p < 1
-            raise ArithmeticError("quantile bracket expansion failed")
-
-    x = min(max(float(special.ndtri(p)), lo), hi)
-    for _ in range(200):
-        f = t_cdf(x, q) - p
-        if f == 0.0:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        dfdx = t_pdf(x, q)
-        if dfdx > 0.0:
-            step = f / dfdx
-            x_new = x - step
-        else:
-            x_new = math.inf  # force bisection
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-13 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+        return -float(special.stdtrit(q, 1.0 - p))
+    return float(special.stdtrit(q, p))
 
 
 def t_two_sided(alpha: float, q: float) -> float:

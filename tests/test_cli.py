@@ -339,3 +339,10 @@ class TestDesignConfigParsing:
         cfg.write_text(json.dumps({"bogus": 1}))
         code, _, err = run(capsys, "design", "--config", str(cfg))
         assert code == 1 and "unknown design config fields" in err
+
+    @pytest.mark.parametrize("key", ["coverage_pad", "order_x", "order_w"])
+    def test_removed_knob_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 8}))
+        code, _, err = run(capsys, "design", "--config", str(cfg))
+        assert code == 1 and f"unknown design config fields: {key}" in err

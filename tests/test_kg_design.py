@@ -92,8 +92,8 @@ class TestDesignConfig:
             {"m": 0},
             {"knots": (0.0, 12.0)},
             {"knots": (0.0, 2.0, 11.0)},
-            {"coverage_pad": -1e-3},
             {"gamma_constraint_grid": GammaGrid.regular(10.0, 0.5)},
+            {"knots": (0.0, 6.0, 4.0, 12.0)},
         ],
     )
     def test_validation(self, kwargs):
@@ -103,7 +103,7 @@ class TestDesignConfig:
 
 class TestPenaltyModel:
     def test_matches_adaptive_quadrature(self):
-        cfg = DesignConfig(order_x=16, order_w=16)
+        cfg = DesignConfig()
         model = _PenaltyModel(cfg)
         sp = golden_pair()
         v = np.asarray(sp.b_values[1:-1] + sp.s_values[:-1])
