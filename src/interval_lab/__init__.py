@@ -9,7 +9,7 @@ sets, and designs and evaluates a frequentist interval whose center and
 half-width are spline functions of the prior-constraint statistic.
 """
 
-from interval_lab.special_fn import TDist, t_cdf, t_pdf, t_quantile, t_two_sided
+from interval_lab.special_fn import t_cdf, t_pdf, t_quantile, t_two_sided
 from interval_lab.model_prep import (
     RegressionProblem,
     SufficientStats,
@@ -55,7 +55,6 @@ from interval_lab.mc_oracle import KGProcedure, SimConfig, SimResult, StandardPr
 __version__ = "0.1.0"
 
 __all__ = [
-    "TDist",
     "t_pdf",
     "t_cdf",
     "t_quantile",

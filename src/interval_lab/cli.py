@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,7 +31,6 @@ from interval_lab.kg_core import (
     kg_interval,
     spline_pair_from_json,
     spline_pair_to_json,
-    _max_workers,
 )
 from interval_lab.kg_design import DesignConfig, design
 from interval_lab.mc_oracle import KGProcedure, SimConfig, StandardProcedure, simulate
@@ -87,6 +87,17 @@ def _provenance(args) -> str:
         f"# {cmd} | interval-lab {_version()} numpy {np.__version__} "
         f"scipy {scipy.__version__} | seed: {'-' if seed is None else seed}"
     )
+
+
+def _max_workers() -> int:
+    """Thread cap for the evaluate and figure sweeps, from INTERVAL_LAB_THREADS if set."""
+    env = os.environ.get("INTERVAL_LAB_THREADS")
+    if env is None:
+        return min(8, os.cpu_count() or 1)
+    n = int(env)
+    if n < 1:
+        raise ValueError(f"INTERVAL_LAB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _pmap(fn, items):
@@ -231,7 +242,6 @@ _CONFIG_KEYS = {
     "knots",
     "gamma_upper",
     "gamma_step",
-    "fd_step",
     "penalty_init",
     "penalty_growth",
     "penalty_stages",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -58,25 +57,12 @@ __all__ = [
 ]
 
 
-def _max_workers() -> int:
-    """Thread cap for internal fan-out, from INTERVAL_LAB_THREADS if set."""
-    env = os.environ.get("INTERVAL_LAB_THREADS")
-    if env is None:
-        return min(8, os.cpu_count() or 1)
-    n = int(env)
-    if n < 1:
-        raise ValueError(f"INTERVAL_LAB_THREADS must be a positive integer, got {env!r}")
-    return n
-
-
 def expected_w(m: float) -> float:
     """E[W] with m W^2 ~ chi-square(m): sqrt(2/m) Gamma((m+1)/2) / Gamma(m/2)."""
     m = float(m)
     if m <= 0.0:
         raise ValueError(f"m must be positive, got {m!r}")
-    return math.exp(
-        0.5 * math.log(2.0 / m) + special.gammaln((m + 1.0) / 2.0) - special.gammaln(m / 2.0)
-    )
+    return math.sqrt(2.0 / m) * float(special.poch(m / 2.0, 0.5))
 
 
 @dataclass(frozen=True)
@@ -316,8 +302,9 @@ class _RiskKernel:
     phi(w x - gamma), the quadrature weights, the standard-pair coverage
     baseline and the spline basis at the x nodes do not depend on the
     knot values, so each call costs two normal-CDF array evaluations and
-    weighted sums.  The s values enter as s - t(m), so the standard pair
-    gives exactly zero corrections.
+    weighted sums, and the Jacobian adds two normal densities.  The s
+    values enter as s - t(m), so the standard pair gives exactly zero
+    corrections.
     """
 
     def __init__(self, knots, m: int, rho: float, alpha: float, gammas: np.ndarray,
@@ -338,12 +325,16 @@ class _RiskKernel:
         phi *= ww[:, None]
         phi *= xw
         self.phiw = phi
-        self.base_cov = self._hit_mass(0.0, self.crit)
+        self.base_cov = self._hit_mass(*self._limits(0.0, self.crit))
 
-    def _hit_mass(self, bs, ss) -> np.ndarray:
-        """phi-weighted integral of the hit probability of J for b, s at the x nodes."""
+    def _limits(self, bs, ss):
+        """Standardized hit limits (hi, lo) of J for b, s at the x nodes."""
         hi = np.subtract(self.w_over_root * (bs + ss), self.zr)
         lo = np.subtract(self.w_over_root * (bs - ss), self.zr)
+        return hi, lo
+
+    def _hit_mass(self, hi, lo) -> np.ndarray:
+        """phi-weighted integral of the hit probability Phi(hi) - Phi(lo); overwrites both."""
         psi = special.ndtr(hi, out=hi)
         psi -= special.ndtr(lo, out=lo)
         return np.einsum("gij,gij->g", self.phiw, psi)
@@ -351,8 +342,28 @@ class _RiskKernel:
     def __call__(self, b_values, s_values):
         """(coverage correction, SEL correction) for every gamma."""
         ds = self.basis_s @ (np.asarray(s_values, dtype=float) - self.crit)
-        cov = self._hit_mass(self.basis_b @ np.asarray(b_values, dtype=float), self.crit + ds)
-        return cov - self.base_cov, self.sel_w @ ds
+        hi, lo = self._limits(self.basis_b @ np.asarray(b_values, dtype=float), self.crit + ds)
+        return self._hit_mass(hi, lo) - self.base_cov, self.sel_w @ ds
+
+    def jacobian(self, b_values, s_values):
+        """(coverage correction, d cov / d b values, d cov / d s values).
+
+        The derivatives have one row per gamma and one column per knot.
+        The hit probability is Phi(hi) - Phi(lo) with hi, lo = (w (b +- s)
+        - rho z) / root, so its b-derivative is w / root (phi(hi) - phi(lo))
+        and its s-derivative w / root (phi(hi) + phi(lo)).
+        """
+        ds = self.basis_s @ (np.asarray(s_values, dtype=float) - self.crit)
+        hi, lo = self._limits(self.basis_b @ np.asarray(b_values, dtype=float), self.crit + ds)
+        dens_hi = np.exp(-0.5 * hi * hi)
+        dens_lo = np.exp(-0.5 * lo * lo)
+        cov = self._hit_mass(hi, lo) - self.base_cov
+        dens_hi *= self.phiw
+        dens_lo *= self.phiw
+        scale = self.w_over_root[:, 0] / math.sqrt(2.0 * math.pi)
+        d_s = scale @ (dens_hi + dens_lo)
+        d_b = scale @ np.subtract(dens_hi, dens_lo, out=dens_hi)
+        return cov, d_b @ self.basis_b, d_s @ self.basis_s
 
 
 def _correction_terms(sp: SplinePair, gammas: np.ndarray, order_x: int, order_w: int):

@@ -18,21 +18,22 @@ design, so an evaluation only maps the knot values through the fixed
 spline basis.
 
 The constraint is enforced by a sequential quadratic penalty on the
-coverage shortfall over a finite gamma grid (inner solver L-BFGS-B with
-central finite-difference gradients).  The penalty target is exactly
-1 - alpha: a padded target would move the mu -> infinity limit away
-from the true constrained optimum, whereas with the exact target the
-equilibrium shortfall shrinks like 1/mu and the iterates converge to
-it.  Every returned design is re-verified on a 10x denser grid.  The
-whole procedure is deterministic (finite-difference evaluations may run
-on a thread pool, but each is independent and results are combined
-positionally).
+coverage shortfall over a finite gamma grid, with an L-BFGS-B inner
+solver.  The objective is linear in s, and the kernel's Jacobian gives
+the exact gradient of the coverage, so one kernel pass per evaluation
+yields the penalized value and its exact gradient.  The penalty target
+is exactly 1 - alpha: a padded target would move the mu -> infinity
+limit away from the true constrained optimum, whereas with the exact
+target the equilibrium shortfall shrinks like 1/mu and the iterates
+converge to it.  Every returned design is re-verified on a 10x denser
+grid.  The whole procedure is deterministic and starts no thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused: bench/layers.py wraps this name to count the design's thread pools (none)
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ from interval_lab.kg_core import (
     coverage_and_sel_grid,
     expected_w,
     scaled_expected_length,
-    _max_workers,
     _RiskKernel,
     _spline_integral_weights,
 )
@@ -72,7 +72,6 @@ class DesignConfig:
     d: float = 12.0
     knots: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     gamma_constraint_grid: GammaGrid = field(default_factory=_default_grid)
-    fd_step: float = 1e-4
     penalty_init: float = 1e4
     penalty_growth: float = math.sqrt(10.0)
     penalty_stages: int = 12
@@ -129,7 +128,8 @@ class _PenaltyModel:
 
     The vector holds b at the interior knots, then s at every knot but d.
     One risk kernel over the constraint grid serves every evaluation; the
-    grid starts at gamma = 0, so its first SEL term is e(0) - 1.
+    grid starts at gamma = 0, so its first SEL term is e(0) - 1.  The
+    objective is obj_w @ (s - t(m)) over all knots.
     """
 
     def __init__(self, cfg: DesignConfig):
@@ -137,41 +137,37 @@ class _PenaltyModel:
         self.crit = cfg.t_crit
         self.knots = np.asarray(cfg.knots)
         self.n_b = self.knots.size - 2
-        self.e_w = expected_w(cfg.m)
         self.kernel = _RiskKernel(cfg.knots, cfg.m, cfg.rho, cfg.alpha,
                                   cfg.gamma_constraint_grid.as_array(), _ORDER_X, _ORDER_W)
+        e0_w = self.kernel.sel_w[0] @ self.kernel.basis_s
+        integral_w = 2.0 * _spline_integral_weights(cfg.knots)
+        self.obj_w = (cfg.xi_tilde * e0_w + (1.0 - cfg.xi_tilde) * integral_w) / (
+            self.crit * expected_w(cfg.m)
+        )
+
+    def _split(self, v: np.ndarray):
+        b_full = np.concatenate(([0.0], v[: self.n_b], [0.0]))
+        return b_full, np.concatenate((v[self.n_b :], [self.crit]))
 
     def terms(self, v: np.ndarray):
-        s_full = np.concatenate((v[self.n_b :], [self.crit]))
-        cov, sel = self.kernel(np.concatenate(([0.0], v[: self.n_b], [0.0])), s_full)
+        b_full, s_full = self._split(v)
+        cov, _ = self.kernel(b_full, s_full)
         cov += 1.0 - self.cfg.alpha
-        e0 = 1.0 + float(sel[0]) / (self.crit * self.e_w)
-        integral = _sel_integral(self.cfg.knots, s_full, self.crit, self.e_w)
-        obj = self.cfg.xi_tilde * (e0 - 1.0) + (1.0 - self.cfg.xi_tilde) * integral
+        obj = float(self.obj_w @ (s_full - self.crit))
         shortfall = np.clip((1.0 - self.cfg.alpha) - cov, 0.0, None)
         return obj, float(shortfall @ shortfall), cov
 
-    def penalized(self, v: np.ndarray, mu: float) -> float:
-        obj, pen, _ = self.terms(v)
-        return obj + mu * pen
-
     def value_and_grad(self, v: np.ndarray, mu: float):
-        h = self.cfg.fd_step
-        points = [v]
-        for i in range(v.size):
-            vp = v.copy()
-            vm = v.copy()
-            vp[i] += h
-            vm[i] -= h
-            points.extend((vp, vm))
-        workers = _max_workers()
-        if workers == 1:
-            vals = [self.penalized(u, mu) for u in points]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(lambda u: self.penalized(u, mu), points))
-        grad = (np.asarray(vals[1::2]) - np.asarray(vals[2::2])) / (2.0 * h)
-        return vals[0], grad
+        """obj + mu * |shortfall|^2 and its exact gradient, from one kernel pass."""
+        b_full, s_full = self._split(v)
+        cov, d_b, d_s = self.kernel.jacobian(b_full, s_full)
+        cov += 1.0 - self.cfg.alpha
+        obj = float(self.obj_w @ (s_full - self.crit))
+        shortfall = np.clip((1.0 - self.cfg.alpha) - cov, 0.0, None)
+        jac = np.concatenate((d_b[:, 1:-1], d_s[:, :-1]), axis=1)
+        grad = -2.0 * mu * (shortfall @ jac)
+        grad[self.n_b :] += self.obj_w[:-1]
+        return obj + mu * float(shortfall @ shortfall), grad
 
     def to_pair(self, v: np.ndarray) -> SplinePair:
         return SplinePair(
@@ -196,11 +192,11 @@ def _densify(grid: GammaGrid, factor: int = 10) -> np.ndarray:
 def design(cfg: DesignConfig) -> SplinePair:
     """Minimize the weighted SEL criterion subject to minimum coverage 1 - alpha.
 
-    Sequential quadratic penalty with an L-BFGS-B inner solver and
-    central finite-difference gradients, started from the standard pair
-    (b = 0, s = t(m)).  Stops once the stage-to-stage objective change
-    drops below obj_tol with grid constraint violation below
-    constraint_tol, then re-verifies coverage on a 10x denser grid.
+    Sequential quadratic penalty with an L-BFGS-B inner solver fed the
+    exact gradient from the risk kernel's Jacobian, started from the
+    standard pair (b = 0, s = t(m)).  Stops once the stage-to-stage
+    objective change drops below obj_tol with grid constraint violation
+    below constraint_tol, then re-verifies coverage on a 10x denser grid.
     """
     model = _PenaltyModel(cfg)
     crit = cfg.t_crit

@@ -9,12 +9,11 @@ positive real, not just an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-__all__ = ["TDist", "t_pdf", "t_cdf", "t_quantile", "t_two_sided"]
+__all__ = ["t_pdf", "t_cdf", "t_quantile", "t_two_sided"]
 
 
 def _check_dof(q: float) -> float:
@@ -41,11 +40,7 @@ def t_pdf(x, q: float):
     """
     q = _check_dof(q)
     x = np.asarray(x, dtype=float)
-    log_norm = (
-        special.gammaln((q + 1.0) / 2.0)
-        - special.gammaln(q / 2.0)
-        - 0.5 * math.log(q * math.pi)
-    )
+    log_norm = -special.betaln(q / 2.0, 0.5) - 0.5 * math.log(q)
     with np.errstate(over="ignore"):
         out = np.exp(log_norm - 0.5 * (q + 1.0) * np.log1p(x * x / q))
     return out if out.ndim else float(out)
@@ -54,9 +49,8 @@ def t_pdf(x, q: float):
 def t_cdf(x, q: float):
     """CDF of the t distribution with q degrees of freedom.
 
-    Computed through the regularized incomplete beta function: for
-    x >= 0, F(x) = 1 - I_{q/(q+x^2)}(q/2, 1/2) / 2, and by symmetry
-    below zero.
+    Computed by scipy.special.stdtr, which stays accurate for large q
+    where the incomplete-beta route loses x^2/q.
 
     Parameters
     ----------
@@ -71,11 +65,7 @@ def t_cdf(x, q: float):
         Probability value(s) in [0, 1].
     """
     q = _check_dof(q)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = q / (q + x * x)
-    tail = 0.5 * special.betainc(q / 2.0, 0.5, z)
-    out = np.where(x > 0.0, 1.0 - tail, tail)
+    out = special.stdtr(q, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -112,21 +102,3 @@ def t_two_sided(alpha: float, q: float) -> float:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     return t_quantile(1.0 - alpha / 2.0, q)
 
-
-@dataclass(frozen=True)
-class TDist:
-    """Student-t distribution with q > 0 degrees of freedom."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        _check_dof(self.q)
-
-    def pdf(self, x):
-        return t_pdf(x, self.q)
-
-    def cdf(self, x):
-        return t_cdf(x, self.q)
-
-    def quantile(self, p: float) -> float:
-        return t_quantile(p, self.q)

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print.  The designed-interval fixture runs the full optimization once per
-session (a few minutes); everything else is fast.
+session (about half a minute); everything else is fast.
 """
 
 import math

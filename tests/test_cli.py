@@ -340,7 +340,7 @@ class TestDesignConfigParsing:
         code, _, err = run(capsys, "design", "--config", str(cfg))
         assert code == 1 and "unknown design config fields" in err
 
-    @pytest.mark.parametrize("key", ["coverage_pad", "order_x", "order_w"])
+    @pytest.mark.parametrize("key", ["coverage_pad", "order_x", "order_w", "fd_step"])
     def test_removed_knob_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 8}))

@@ -24,6 +24,7 @@ from interval_lab.kg_core import (
     scaled_expected_length,
     spline_pair_from_json,
     spline_pair_to_json,
+    _RiskKernel,
 )
 from interval_lab.mc_oracle import KGProcedure, SimConfig, simulate
 from interval_lab.model_prep import SufficientStats
@@ -181,6 +182,12 @@ class TestExpectedW:
             val, _ = quad(integrand, 0.0, np.inf)
             assert val == pytest.approx(1.0, rel=1e-10)
 
+    def test_large_m_expansion(self):
+        # E[W] = 1 - 1/(4m) + O(1/m^2); the next term is below 1e-16 here
+        m = 1e8
+        assert expected_w(m) == pytest.approx(1.0 - 1.0 / (4.0 * m), rel=1e-15)
+        assert expected_w(m) < 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             expected_w(0.0)
@@ -236,6 +243,23 @@ class TestRiskQuadrature:
             )
             assert abs(res.coverage_estimate - cov[0]) <= 3.0 * res.coverage_se
             assert abs(res.sel_estimate - sel[0]) <= 3.0 * res.sel_se
+
+
+class TestRiskKernel:
+    def test_jacobian_matches_central_differences(self):
+        sp = spline_pair_from_json(GOLDEN.read_text())
+        kernel = _RiskKernel(sp.knots, sp.m, sp.rho, sp.alpha,
+                             GammaGrid.regular(20.0, 0.5).as_array(), 8, 10)
+        b, s = np.array(sp.b_values), np.array(sp.s_values)
+        cov, d_b, d_s = kernel.jacobian(b, s)
+        assert np.array_equal(cov, kernel(b, s)[0])
+        h = 1e-6
+        for values, deriv, at in ((b, d_b, lambda u: kernel(u, s)), (s, d_s, lambda u: kernel(b, u))):
+            for j in range(values.size):
+                step = np.zeros(values.size)
+                step[j] = h
+                central = (at(values + step)[0] - at(values - step)[0]) / (2.0 * h)
+                np.testing.assert_allclose(deriv[:, j], central, rtol=0.0, atol=1e-7)
 
 
 class TestGammaGrid:

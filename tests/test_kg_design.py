@@ -124,6 +124,44 @@ class TestPenaltyModel:
         np.testing.assert_allclose(cov, 1.0 - cfg.alpha, atol=1e-15)
 
 
+class TestPenaltyGradient:
+    MU = 1e4
+
+    def golden_vector(self) -> np.ndarray:
+        sp = golden_pair()
+        return np.asarray(sp.b_values[1:-1] + sp.s_values[:-1])
+
+    def check_gradient(self, model, v):
+        _, grad = model.value_and_grad(v, self.MU)
+        h = 1e-6
+        central = np.empty(v.size)
+        for i in range(v.size):
+            step = np.zeros(v.size)
+            step[i] = h
+            obj_p, pen_p, _ = model.terms(v + step)
+            obj_m, pen_m, _ = model.terms(v - step)
+            central[i] = ((obj_p + self.MU * pen_p) - (obj_m + self.MU * pen_m)) / (2.0 * h)
+        np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-6 * np.max(np.abs(grad)))
+
+    def test_gradient_at_golden_point(self):
+        self.check_gradient(_PenaltyModel(DesignConfig()), self.golden_vector())
+
+    def test_gradient_where_every_gamma_is_short(self):
+        model = _PenaltyModel(DesignConfig())
+        v = self.golden_vector()
+        v[model.n_b :] -= 0.3
+        _, _, cov = model.terms(v)
+        assert np.all(cov < 1.0 - model.cfg.alpha)
+        self.check_gradient(model, v)
+
+    def test_value_matches_terms(self):
+        model = _PenaltyModel(DesignConfig())
+        v = self.golden_vector()
+        value, _ = model.value_and_grad(v, self.MU)
+        obj, pen, _ = model.terms(v)
+        assert value == pytest.approx(obj + self.MU * pen, rel=0.0, abs=1e-14)
+
+
 class TestDesign:
     def test_deterministic(self):
         cfg = small_config()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
-from interval_lab.special_fn import TDist, t_cdf, t_pdf, t_quantile, t_two_sided
+from interval_lab.special_fn import t_cdf, t_pdf, t_quantile, t_two_sided
 
 
 def oracle_pdf(x, q):
@@ -158,23 +159,29 @@ class TestNormalization:
         assert val == pytest.approx(1.0 - 2.0 * eps, abs=1e-8)
 
 
-class TestTDist:
-    def test_delegates(self):
-        d = TDist(4.0)
-        assert d.pdf(0.3) == t_pdf(0.3, 4.0)
-        assert d.cdf(0.3) == t_cdf(0.3, 4.0)
-        assert d.quantile(0.7) == t_quantile(0.7, 4.0)
+class TestClosedForms:
+    """Closed forms at small and very large degrees of freedom."""
 
-    def test_invariant(self):
-        with pytest.raises(ValueError):
-            TDist(0.0)
-        with pytest.raises(ValueError):
-            TDist(-2.0)
+    XS = np.array([-40.0, -3.0, -1.0, -0.2, 0.0, 0.5, 1.0, 2.5, 7.0, 1e3])
 
-    def test_frozen(self):
-        d = TDist(4.0)
-        with pytest.raises(Exception):
-            d.q = 5.0
+    def test_cauchy_cdf(self):
+        expect = 0.5 + np.arctan(self.XS) / math.pi
+        np.testing.assert_allclose(t_cdf(self.XS, 1.0), expect, rtol=1e-14, atol=1e-16)
+
+    def test_two_dof_cdf(self):
+        expect = 0.5 + self.XS / (2.0 * np.sqrt(2.0 + self.XS**2))
+        np.testing.assert_allclose(t_cdf(self.XS, 2.0), expect, rtol=1e-14, atol=1e-16)
+
+    def test_normal_limit_cdf(self):
+        xs = np.linspace(-6.0, 6.0, 25)
+        np.testing.assert_allclose(t_cdf(xs, 1e16), special.ndtr(xs), rtol=1e-14, atol=0.0)
+
+    def test_normal_limit_pdf(self):
+        # the true relative gap to the normal density, (x^4 - 2 x^2 - 1) / (4 q),
+        # stays below 3.1e-12 on this window
+        xs = np.linspace(-6.0, 6.0, 25)
+        expect = np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(t_pdf(xs, 1e14), expect, rtol=1e-11, atol=0.0)
 
 
 @settings(max_examples=60)
