@@ -12,6 +12,7 @@ fixed, so results do not depend on the number of workers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from interval_lab.kg_core import (
     spline_pair_from_json,
     spline_pair_to_json,
 )
-from interval_lab.kg_design import DesignConfig, design
+from interval_lab.kg_design import DesignConfig, _constraint_grid, design
 from interval_lab.mc_oracle import KGProcedure, SimConfig, StandardProcedure, simulate
 from interval_lab.model_prep import (
     SufficientStats,
@@ -233,39 +234,27 @@ def cmd_credible(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = {
-    "m",
-    "rho",
-    "alpha",
-    "xi_tilde",
-    "d",
-    "knots",
-    "gamma_upper",
-    "gamma_step",
-    "penalty_init",
-    "penalty_growth",
-    "penalty_stages",
-    "max_iter",
-    "obj_tol",
-    "constraint_tol",
-}
+# a design config file holds DesignConfig's fields, giving the constraint grid by its bounds
+_GRID_KEYS = ("gamma_upper", "gamma_step")
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(DesignConfig)} - {"gamma_constraint_grid"}
+_CONFIG_KEYS |= set(_GRID_KEYS)
 
 
 def _design_config(path) -> DesignConfig:
     if path is None:
         return DesignConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("design config must be a JSON object")
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown design config fields: {', '.join(unknown)}")
-    kwargs = {k: v for k, v in doc.items() if k not in ("gamma_upper", "gamma_step", "knots")}
-    if "knots" in doc:
-        kwargs["knots"] = tuple(doc["knots"])
-    if "gamma_upper" in doc or "gamma_step" in doc:
-        kwargs["gamma_constraint_grid"] = GammaGrid.regular(
-            float(doc.get("gamma_upper", 20.0)), float(doc.get("gamma_step", 0.5))
-        )
-    return DesignConfig(**kwargs)
+    kwargs = {k: v for k, v in doc.items() if k not in _GRID_KEYS}
+    try:
+        grid = _constraint_grid(**{k: float(doc[k]) for k in _GRID_KEYS if k in doc})
+        return DesignConfig(**kwargs, gamma_constraint_grid=grid)
+    except TypeError as exc:
+        raise ValueError(f"invalid design config: {exc}") from exc
 
 
 def cmd_design(args) -> int:

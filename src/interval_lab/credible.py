@@ -127,10 +127,12 @@ def _std_quantiles(mix: PosteriorMixture, targets) -> np.ndarray:
     """Vectorized bisection for mixture quantiles in the w coordinate.
 
     For each target eta, returns w with F(w) = eta.  The common bracket
-    [min_c Q_c(min eta), max_c Q_c(max eta)] is valid because a mixture
-    CDF evaluated at a point below (above) every component quantile is
-    below (above) the target.  Bisection runs until the bracket is no
-    longer representable, so accuracy is limited by t_cdf itself.
+    [min_c Q_c(min eta), max_c Q_c(max eta)] holds in exact arithmetic, but
+    far-tail component quantiles are not exact (t_quantile reflects p < 0.5
+    through stdtrit(q, 1 - p), and 1 - p rounds: at 1e-12 the tail mass is
+    off by 2e-5), so the bracket is widened until it encloses every target.
+    Bisection runs until the bracket is no longer representable, so
+    accuracy is limited by t_cdf itself.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if np.any((targets <= 0.0) | (targets >= 1.0)):
@@ -144,7 +146,7 @@ def _std_quantiles(mix: PosteriorMixture, targets) -> np.ndarray:
     lo0 -= 1e-9 * span
     hi0 += 1e-9 * span
 
-    # widen-and-retry safety net; the analytic bracket should always hold
+    # needed: an inexact tail quantile can leave a target just outside the bracket
     for _ in range(60):
         if _std_cdf(mix, lo0) <= tmin and _std_cdf(mix, hi0) >= tmax:
             break

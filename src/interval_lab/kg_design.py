@@ -25,8 +25,9 @@ yields the penalized value and its exact gradient.  The penalty target
 is exactly 1 - alpha: a padded target would move the mu -> infinity
 limit away from the true constrained optimum, whereas with the exact
 target the equilibrium shortfall shrinks like 1/mu and the iterates
-converge to it.  Every returned design is re-verified on a 10x denser
-grid.  The whole procedure is deterministic and starts no thread pool.
+converge to it.  Callers tune only penalty_stages, max_iter and
+constraint_tol.  Every returned design is verified in one pass on a 10x
+denser grid.  The procedure is deterministic and starts no thread pool.
 """
 
 from __future__ import annotations
@@ -55,15 +56,20 @@ __all__ = ["DesignConfig", "design", "objective"]
 # fixed quadrature orders of the design's coverage and e(0) evaluations
 _ORDER_X = 8
 _ORDER_W = 10
+_PENALTY_INIT = 1e4  # penalty weight of the first stage
+_PENALTY_GROWTH = math.sqrt(10.0)  # its growth per stage
+_OBJ_TOL = 1e-7  # stage-to-stage objective change that ends the loop once feasible
+_DENSE_FACTOR = 10  # verification points per constraint-grid gap
 
 
-def _default_grid() -> GammaGrid:
-    return GammaGrid.regular(20.0, 0.5)
+def _constraint_grid(gamma_upper: float = 20.0, gamma_step: float = 0.5) -> GammaGrid:
+    return GammaGrid.regular(gamma_upper, gamma_step)
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Problem data plus optimizer tuning for the spline-pair design."""
+    """Problem data plus optimizer settings: penalty_stages, max_iter (L-BFGS-B
+    iterations per stage) and constraint_tol (grid shortfall accepted at exit)."""
 
     m: int = 4
     rho: float = -1.0 / math.sqrt(2.0)
@@ -71,12 +77,9 @@ class DesignConfig:
     xi_tilde: float = 1.0 / 1.2
     d: float = 12.0
     knots: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-    gamma_constraint_grid: GammaGrid = field(default_factory=_default_grid)
-    penalty_init: float = 1e4
-    penalty_growth: float = math.sqrt(10.0)
+    gamma_constraint_grid: GammaGrid = field(default_factory=_constraint_grid)
     penalty_stages: int = 12
     max_iter: int = 150
-    obj_tol: float = 1e-7
     constraint_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -96,6 +99,12 @@ class DesignConfig:
         if k[0] != 0.0 or k[-1] != float(self.d):
             raise ValueError("knots must start at 0 and end at d")
         self.gamma_constraint_grid.require_span(float(self.d) + 8.0)
+        for name in ("penalty_stages", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0.0 < self.constraint_tol < math.inf:
+            raise ValueError(f"constraint_tol must be finite and > 0, got {self.constraint_tol!r}")
 
     @property
     def t_crit(self) -> float:
@@ -181,10 +190,10 @@ class _PenaltyModel:
         )
 
 
-def _densify(grid: GammaGrid, factor: int = 10) -> np.ndarray:
+def _densify(grid: GammaGrid) -> np.ndarray:
     pts = grid.as_array()
     pieces = [
-        np.linspace(pts[i], pts[i + 1], factor + 1)[:-1] for i in range(pts.size - 1)
+        np.linspace(pts[i], pts[i + 1], _DENSE_FACTOR + 1)[:-1] for i in range(pts.size - 1)
     ]
     return np.concatenate(pieces + [pts[-1:]])
 
@@ -194,9 +203,10 @@ def design(cfg: DesignConfig) -> SplinePair:
 
     Sequential quadratic penalty with an L-BFGS-B inner solver fed the
     exact gradient from the risk kernel's Jacobian, started from the
-    standard pair (b = 0, s = t(m)).  Stops once the stage-to-stage
-    objective change drops below obj_tol with grid constraint violation
-    below constraint_tol, then re-verifies coverage on a 10x denser grid.
+    standard pair (b = 0, s = t(m)).  Runs up to penalty_stages stages of
+    up to max_iter iterations, stopping once the objective settles with grid
+    violation below constraint_tol; one pass on a 10x denser grid then
+    verifies coverage on the constraint grid and between its points.
     """
     model = _PenaltyModel(cfg)
     crit = cfg.t_crit
@@ -205,7 +215,7 @@ def design(cfg: DesignConfig) -> SplinePair:
     v = np.concatenate([np.zeros(n_b), np.full(n_s, crit)])
     bounds = [(-2.0 * crit, 2.0 * crit)] * n_b + [(0.2 * crit, 2.5 * crit)] * n_s
 
-    mu = cfg.penalty_init
+    mu = _PENALTY_INIT
     obj_prev = None
     for _stage in range(cfg.penalty_stages):
         res = minimize(
@@ -228,15 +238,13 @@ def design(cfg: DesignConfig) -> SplinePair:
         violation = max(0.0, (1.0 - cfg.alpha) - float(cov.min()))
         if (
             obj_prev is not None
-            and abs(obj_prev - obj) < cfg.obj_tol
+            and abs(obj_prev - obj) < _OBJ_TOL
             and violation < cfg.constraint_tol
         ):
             break
         obj_prev = obj
-        mu *= cfg.penalty_growth
+        mu *= _PENALTY_GROWTH
 
-    obj, _, cov = model.terms(v)
-    violation = max(0.0, (1.0 - cfg.alpha) - float(cov.min()))
     if violation >= cfg.constraint_tol:
         raise RuntimeError(
             "design optimizer stalled with constraint violation "
@@ -245,10 +253,8 @@ def design(cfg: DesignConfig) -> SplinePair:
         )
 
     sp = model.to_pair(v)
-    grid_cov, _ = coverage_and_sel_grid(
-        sp, cfg.gamma_constraint_grid.as_array(), tol=1e-7
-    )
     dense_cov, _ = coverage_and_sel_grid(sp, _densify(cfg.gamma_constraint_grid), tol=1e-7)
+    grid_cov = dense_cov[::_DENSE_FACTOR]
     floor_grid = 1.0 - cfg.alpha - 1e-4
     floor_dense = 1.0 - cfg.alpha - 5e-4
     if float(grid_cov.min()) < floor_grid or float(dense_cov.min()) < floor_dense:

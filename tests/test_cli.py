@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interval_lab.cli import main
-from interval_lab.kg_core import kg_interval, spline_pair_from_json
+from interval_lab.cli import _design_config, main
+from interval_lab.kg_core import GammaGrid, kg_interval, spline_pair_from_json
+from interval_lab.kg_design import DesignConfig
 from interval_lab.model_prep import SufficientStats
 from interval_lab.special_fn import t_pdf, t_two_sided
 
@@ -340,9 +341,41 @@ class TestDesignConfigParsing:
         code, _, err = run(capsys, "design", "--config", str(cfg))
         assert code == 1 and "unknown design config fields" in err
 
-    @pytest.mark.parametrize("key", ["coverage_pad", "order_x", "order_w", "fd_step"])
+    @pytest.mark.parametrize(
+        "key",
+        ["coverage_pad", "order_x", "order_w", "fd_step", "penalty_init", "penalty_growth",
+         "obj_tol"],
+    )
     def test_removed_knob_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 8}))
         code, _, err = run(capsys, "design", "--config", str(cfg))
         assert code == 1 and f"unknown design config fields: {key}" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"penalty_stages": 2.5},
+            {"penalty_stages": "3"},
+            {"knots": 5},
+            {"rho": "x"},
+            {"max_iter": 0},
+            {"constraint_tol": -1},
+            {"gamma_step": [0.5]},
+            [1, 2],
+        ],
+    )
+    def test_bad_config_is_a_domain_error(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "design", "--config", str(cfg))
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+    def test_config_file_maps_onto_design_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 6, "knots": [0, 3, 6], "gamma_step": 0.25}))
+        assert _design_config(cfg) == DesignConfig(
+            d=6.0,
+            knots=(0.0, 3.0, 6.0),
+            gamma_constraint_grid=GammaGrid.regular(20.0, 0.25),
+        )

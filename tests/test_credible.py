@@ -23,13 +23,15 @@ from interval_lab.credible import (
 from interval_lab.credible import _std_quantiles
 from interval_lab.model_prep import SufficientStats
 from interval_lab.posterior_mixture import (
+    PosteriorMixture,
     PriorFamily,
     PriorSpec,
+    TComponent,
     build_posterior,
     posterior_cdf,
     posterior_pdf,
 )
-from interval_lab.special_fn import t_two_sided
+from interval_lab.special_fn import t_cdf, t_two_sided
 
 FIG_STATS = SufficientStats(theta_hat=0.0, tau_hat=0.3, sigma_hat=0.1, m=100, rho=0.98)
 FIG_PRIOR = PriorSpec(family=PriorFamily.SLAB_SPIKE_VARIANCE, xi=0.8)
@@ -100,6 +102,18 @@ class TestQuantiles:
         etas = np.linspace(0.01, 0.99, 25)
         vals = [lower_quantile(mix, e) for e in etas]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("dof", [1.0, 4.0, 37.0])
+    def test_far_tail_single_component(self, dof):
+        # the component quantile alone misses eta = 1e-12 by 2e-5 relative, on
+        # the wrong side of the target, so the bracket must be widened
+        comp = TComponent(loc=0.0, scale=1.0, dof=dof)
+        mix = PosteriorMixture(
+            weight_spike=1.0, comp_spike=comp, comp_slab=comp, theta_hat=0.0, sigma_hat=1.0
+        )
+        eta = 1e-12
+        w = lower_quantile(mix, eta)
+        assert abs(t_cdf(w, dof) / eta - 1.0) <= 1e-12
 
     def test_domain_errors(self):
         mix = build_posterior(FIG_STATS, FIG_PRIOR)

@@ -17,7 +17,8 @@ from interval_lab.kg_core import (
     scaled_expected_length,
     spline_pair_from_json,
 )
-from interval_lab.kg_design import DesignConfig, _PenaltyModel, design, objective
+from interval_lab import kg_design
+from interval_lab.kg_design import DesignConfig, _PenaltyModel, _densify, design, objective
 from interval_lab.special_fn import t_two_sided
 
 GOLDEN = Path(__file__).parent / "golden" / "designed_pair.json"
@@ -94,6 +95,15 @@ class TestDesignConfig:
             {"knots": (0.0, 2.0, 11.0)},
             {"gamma_constraint_grid": GammaGrid.regular(10.0, 0.5)},
             {"knots": (0.0, 6.0, 4.0, 12.0)},
+            {"penalty_stages": 0},
+            {"penalty_stages": 2.5},
+            {"penalty_stages": "3"},
+            {"max_iter": 0},
+            {"max_iter": 15.0},
+            {"constraint_tol": -1.0},
+            {"constraint_tol": 0.0},
+            {"constraint_tol": float("inf")},
+            {"constraint_tol": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -195,6 +205,34 @@ class TestDesign:
         assert n_feasible >= 5
 
     def test_stall_raises_with_diagnostics(self):
-        cfg = small_config(penalty_init=10.0, penalty_stages=1, max_iter=8)
+        cfg = small_config(penalty_stages=1, max_iter=8)
         with pytest.raises(RuntimeError, match="violation"):
             design(cfg)
+
+    def test_one_verification_pass_on_the_dense_grid(self, monkeypatch):
+        calls = []
+        adaptive = kg_design.coverage_and_sel_grid
+
+        def counted(sp, gammas, **kwargs):
+            calls.append(np.array(gammas))
+            return adaptive(sp, gammas, **kwargs)
+
+        monkeypatch.setattr(kg_design, "coverage_and_sel_grid", counted)
+        cfg = small_config()
+        design(cfg)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], _densify(cfg.gamma_constraint_grid))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GammaGrid.regular(20.0, 0.5),
+        GammaGrid.regular(14.0, 0.5),
+        GammaGrid.regular(20.0, 0.25),
+        GammaGrid(points=(0.0, 0.3, 1.0, 2.5, 7.0, 13.1, 20.0)),
+    ],
+)
+def test_dense_grid_holds_every_grid_point(grid):
+    # the design reads its grid coverage off every 10th dense gamma
+    np.testing.assert_array_equal(_densify(grid)[::10], grid.as_array())
